@@ -110,8 +110,11 @@ type RunReport = obs.Snapshot
 // sharing the same underlying runs (e.g. Figures 2 and 5 on AWFY) measure
 // each workload/strategy pair once. A Harness is safe for concurrent use:
 // duplicate concurrent measurements of the same key collapse onto one
-// in-flight computation (singleflight), and the per-build work of each
-// measurement fans out across the scheduler's worker pool (scheduler.go).
+// in-flight computation (singleflight), the per-build work of each
+// measurement fans out across the scheduler's worker pool (scheduler.go),
+// and different measurements that share a memoized image take turns
+// running it — a process mutates its image's build-time heap until Close,
+// so image.NewProcess serializes the processes of one image.
 type Harness struct {
 	Cfg Config
 
@@ -143,31 +146,48 @@ func NewHarness(cfg Config) *Harness {
 	}
 }
 
-// Program returns the (cached) program of a workload. Concurrent callers
-// for the same workload share one build.
-func (h *Harness) Program(w workloads.Workload) *ir.Program {
-	h.mu.Lock()
-	p := h.progs[w.Name]
-	h.mu.Unlock()
-	if p != nil {
-		return p
-	}
-	h.once("prog\x00"+w.Name, func() error {
+// memo returns cache[key], computing and storing it on a miss. Concurrent
+// misses of the same key collapse onto one computation (the singleflight
+// h.once under the flight key kind+"\x00"+key); failed computations store
+// nothing, so a later call retries.
+func memo[T any](h *Harness, cache map[string]T, kind, key string, compute func() (T, error)) (T, error) {
+	load := func() (T, bool) {
 		h.mu.Lock()
-		cached := h.progs[w.Name] != nil
-		h.mu.Unlock()
-		if cached {
+		defer h.mu.Unlock()
+		v, ok := cache[key]
+		return v, ok
+	}
+	if v, ok := load(); ok {
+		return v, nil
+	}
+	err := h.once(kind+"\x00"+key, func() error {
+		if _, ok := load(); ok {
 			return nil
 		}
-		built := w.Build()
+		v, err := compute()
+		if err != nil {
+			return err
+		}
 		h.mu.Lock()
-		h.progs[w.Name] = built
+		cache[key] = v
 		h.mu.Unlock()
 		return nil
 	})
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.progs[w.Name]
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	v, _ := load()
+	return v, nil
+}
+
+// Program returns the (cached) program of a workload. Concurrent callers
+// for the same workload share one build.
+func (h *Harness) Program(w workloads.Workload) *ir.Program {
+	p, _ := memo(h, h.progs, "prog", w.Name, func() (*ir.Program, error) {
+		return w.Build(), nil
+	})
+	return p
 }
 
 func (h *Harness) newOS() *osim.OS {
@@ -288,32 +308,9 @@ func (h *Harness) MeasureBaseline(w workloads.Workload) ([]RunMeasure, error) {
 // snapshots. Concurrent callers for the same workload block on one
 // in-flight measurement instead of duplicating the builds.
 func (h *Harness) MeasureBaselineOutcome(w workloads.Workload) (*BaselineOutcome, error) {
-	if o := h.cachedBaseline(w.Name); o != nil {
-		return o, nil
-	}
-	err := h.once("base\x00"+w.Name, func() error {
-		if h.cachedBaseline(w.Name) != nil {
-			return nil
-		}
-		out, err := h.measureBaseline(w)
-		if err != nil {
-			return err
-		}
-		h.mu.Lock()
-		h.baseCache[w.Name] = out
-		h.mu.Unlock()
-		return nil
+	return memo(h, h.baseCache, "base", w.Name, func() (*BaselineOutcome, error) {
+		return h.measureBaseline(w)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.cachedBaseline(w.Name), nil
-}
-
-func (h *Harness) cachedBaseline(name string) *BaselineOutcome {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.baseCache[name]
 }
 
 // measureBaseline builds and measures every baseline image of a workload,
@@ -399,33 +396,9 @@ func (o *StrategyOutcome) MergedPipeline() *obs.Snapshot {
 // the same key block on one in-flight measurement instead of duplicating
 // the pipelines.
 func (h *Harness) MeasureStrategy(w workloads.Workload, strategy string) (*StrategyOutcome, error) {
-	key := w.Name + "\x00" + strategy
-	if o := h.cachedStrategy(key); o != nil {
-		return o, nil
-	}
-	err := h.once("strat\x00"+key, func() error {
-		if h.cachedStrategy(key) != nil {
-			return nil
-		}
-		out, err := h.measureStrategy(w, strategy)
-		if err != nil {
-			return err
-		}
-		h.mu.Lock()
-		h.stratCache[key] = out
-		h.mu.Unlock()
-		return nil
+	return memo(h, h.stratCache, "strat", w.Name+"\x00"+strategy, func() (*StrategyOutcome, error) {
+		return h.measureStrategy(w, strategy)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.cachedStrategy(key), nil
-}
-
-func (h *Harness) cachedStrategy(key string) *StrategyOutcome {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stratCache[key]
 }
 
 // measureStrategy runs the full pipeline of one strategy over every build

@@ -198,33 +198,9 @@ func (h *Harness) SearchLayout(w workloads.Workload, cfg SearchConfig) (*SearchR
 		return nil, fmt.Errorf("eval: workload %s has no serve spec", w.Name)
 	}
 	cfg = cfg.withDefaults()
-	key := w.Name + "\x00" + cfg.key()
-	if r := h.cachedSearch(key); r != nil {
-		return r, nil
-	}
-	err := h.once("search\x00"+key, func() error {
-		if h.cachedSearch(key) != nil {
-			return nil
-		}
-		res, err := h.searchLayout(w, cfg)
-		if err != nil {
-			return err
-		}
-		h.mu.Lock()
-		h.searchCache[key] = res
-		h.mu.Unlock()
-		return nil
+	return memo(h, h.searchCache, "search", w.Name+"\x00"+cfg.key(), func() (*SearchResult, error) {
+		return h.searchLayout(w, cfg)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.cachedSearch(key), nil
-}
-
-func (h *Harness) cachedSearch(key string) *SearchResult {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.searchCache[key]
 }
 
 // searchLayout is the search loop proper. Everything here is serial and

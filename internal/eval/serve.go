@@ -12,10 +12,8 @@ package eval
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"nimage/internal/core"
-	"nimage/internal/heap"
 	"nimage/internal/image"
 	"nimage/internal/murmur"
 	"nimage/internal/obs"
@@ -23,7 +21,6 @@ import (
 	"nimage/internal/obs/attrib"
 	"nimage/internal/osim"
 	"nimage/internal/profiler"
-	"nimage/internal/vm"
 	"nimage/internal/workloads"
 )
 
@@ -248,32 +245,9 @@ func (h *Harness) MeasureServe(w workloads.Workload, strategy string, scfg Serve
 		strategy = LayoutBaseline
 	}
 	key := w.Name + "\x00" + strategy + "\x00" + scfg.key()
-	if o := h.cachedServe(key); o != nil {
-		return o, nil
-	}
-	err := h.once("serve\x00"+key, func() error {
-		if h.cachedServe(key) != nil {
-			return nil
-		}
-		out, err := h.measureServe(w, strategy, scfg)
-		if err != nil {
-			return err
-		}
-		h.mu.Lock()
-		h.serveCache[key] = out
-		h.mu.Unlock()
-		return nil
+	return memo(h, h.serveCache, "serve", key, func() ([]*ServeOutcome, error) {
+		return h.measureServe(w, strategy, scfg)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.cachedServe(key), nil
-}
-
-func (h *Harness) cachedServe(key string) []*ServeOutcome {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.serveCache[key]
 }
 
 // measureServe fans the builds out across the worker pool; the outcome
@@ -303,76 +277,54 @@ func (h *Harness) measureServe(w workloads.Workload, strategy string, scfg Serve
 // serveImage builds (once per workload/strategy/build — shared by every
 // pressure level) the image a serve run executes.
 func (h *Harness) serveImage(w workloads.Workload, strategy string, bld int) (*image.Image, error) {
-	key := fmt.Sprintf("simg\x00%s\x00%s\x00%d", w.Name, strategy, bld)
-	if img := h.cachedServeImg(key); img != nil {
-		return img, nil
-	}
-	err := h.once(key, func() error {
-		if h.cachedServeImg(key) != nil {
-			return nil
-		}
+	key := fmt.Sprintf("%s\x00%s\x00%d", w.Name, strategy, bld)
+	return memo(h, h.serveImgs, "simg", key, func() (*image.Image, error) {
 		p := h.Program(w)
-		var img *image.Image
 		if strategy == LayoutBaseline {
-			built, err := image.Build(p, image.Options{
+			img, err := image.Build(p, image.Options{
 				Kind: image.KindRegular, Compiler: h.Cfg.Compiler, BuildSeed: baselineSeed(bld),
 			})
 			if err != nil {
-				return fmt.Errorf("eval: serve baseline build of %s: %w", w.Name, err)
+				return nil, fmt.Errorf("eval: serve baseline build of %s: %w", w.Name, err)
 			}
-			img = built
-		} else {
-			popts := image.PipelineOptions{
-				Compiler:         h.Cfg.Compiler,
-				Strategy:         strategy,
-				InstrumentedSeed: instrumentedSeed(bld),
-				OptimizedSeed:    optimizedSeed(bld),
-				// Serve workloads are services: durable buffers (Sec. 6.1).
-				Mode:    profiler.MemoryMapped,
-				Args:    w.Args,
-				Service: true,
-			}
-			if core.IsGraphStrategy(strategy) {
-				// Graph strategies optimize burst residency, so they bake
-				// from the baseline *serve* recording rather than letting
-				// the pipeline record a cold start.
-				g, err := h.serveAffinityGraph(w, bld)
-				if err != nil {
-					return err
-				}
-				popts.AffinityGraph = g
-				if strategy == core.StrategySLOSearch {
-					// slo-search bakes the measured search winner: one
-					// searched order per workload (memoized), rebuilt here
-					// with this build's seed like any other strategy.
-					sr, err := h.SearchLayout(w, DefaultSearchConfig())
-					if err != nil {
-						return err
-					}
-					popts.CodeOrder = sr.Order
-				}
-			}
-			res, err := image.BuildOptimized(p, popts)
-			if err != nil {
-				return fmt.Errorf("eval: serve %s/%s: %w", w.Name, strategy, err)
-			}
-			img = res.Optimized
+			return img, nil
 		}
-		h.mu.Lock()
-		h.serveImgs[key] = img
-		h.mu.Unlock()
-		return nil
+		popts := image.PipelineOptions{
+			Compiler:         h.Cfg.Compiler,
+			Strategy:         strategy,
+			InstrumentedSeed: instrumentedSeed(bld),
+			OptimizedSeed:    optimizedSeed(bld),
+			// Serve workloads are services: durable buffers (Sec. 6.1).
+			Mode:    profiler.MemoryMapped,
+			Args:    w.Args,
+			Service: true,
+		}
+		if core.IsGraphStrategy(strategy) {
+			// Graph strategies optimize burst residency, so they bake from
+			// the baseline *serve* recording rather than letting the
+			// pipeline record a cold start.
+			g, err := h.serveAffinityGraph(w, bld)
+			if err != nil {
+				return nil, err
+			}
+			popts.AffinityGraph = g
+			if strategy == core.StrategySLOSearch {
+				// slo-search bakes the measured search winner: one searched
+				// order per workload (memoized), rebuilt here with this
+				// build's seed like any other strategy.
+				sr, err := h.SearchLayout(w, DefaultSearchConfig())
+				if err != nil {
+					return nil, err
+				}
+				popts.CodeOrder = sr.Order
+			}
+		}
+		res, err := image.BuildOptimized(p, popts)
+		if err != nil {
+			return nil, fmt.Errorf("eval: serve %s/%s: %w", w.Name, strategy, err)
+		}
+		return res.Optimized, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.cachedServeImg(key), nil
-}
-
-func (h *Harness) cachedServeImg(key string) *image.Image {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.serveImgs[key]
 }
 
 // serveAffinityGraph records — once per workload/build, shared by every
@@ -383,243 +335,59 @@ func (h *Harness) cachedServeImg(key string) *image.Image {
 // pressure sweep, preserving the serve-image memoization contract
 // (sweeping pressure rebuilds nothing).
 func (h *Harness) serveAffinityGraph(w workloads.Workload, bld int) (*affinity.Graph, error) {
-	key := fmt.Sprintf("sgraph\x00%s\x00%d", w.Name, bld)
-	if g := h.cachedServeGraph(key); g != nil {
-		return g, nil
-	}
-	err := h.once(key, func() error {
-		if h.cachedServeGraph(key) != nil {
-			return nil
-		}
+	key := fmt.Sprintf("%s\x00%d", w.Name, bld)
+	return memo(h, h.serveGraphs, "sgraph", key, func() (*affinity.Graph, error) {
 		img, err := h.serveImage(w, LayoutBaseline, bld)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		o, err := h.serveRun(img, w, LayoutBaseline, DefaultServeConfig(), true)
 		if err != nil {
-			return fmt.Errorf("eval: serve affinity recording of %s: %w", w.Name, err)
+			return nil, fmt.Errorf("eval: serve affinity recording of %s: %w", w.Name, err)
 		}
 		if o.Affinity == nil {
-			return fmt.Errorf("eval: serve affinity recording of %s produced no graph", w.Name)
+			return nil, fmt.Errorf("eval: serve affinity recording of %s produced no graph", w.Name)
 		}
-		h.mu.Lock()
-		h.serveGraphs[key] = o.Affinity
-		h.mu.Unlock()
-		return nil
+		return o.Affinity, nil
+	})
+}
+
+// serveRun executes one serve scenario on the burst engine (burst.go): one
+// tenant whose Streams closed-loop clients share the process. Serve adds
+// the file-level eviction totals, the attribution table and the affinity
+// graph with its scorecard. trackAffinity forces the co-access recorder on
+// regardless of the harness config — the serve affinity recording needs a
+// graph even on detached harnesses.
+func (h *Harness) serveRun(img *image.Image, w workloads.Workload, strategy string, scfg ServeConfig, trackAffinity bool) (*ServeOutcome, error) {
+	scfg = scfg.withDefaults() // direct callers may pass a sparse config
+	r, err := h.runBursts(burstSpec{
+		imgs:          []*image.Image{img},
+		ws:            []workloads.Workload{w},
+		layouts:       []string{strategy},
+		cfg:           scfg,
+		trackAffinity: trackAffinity,
+		obsPrefix:     func(int) string { return "serve" },
+		residentCols:  []string{"resident_text", "resident_heap"},
+		residentRow: func(bm BurstMeasure, _ int64) []int64 {
+			return []int64{int64(bm.ResidentText), int64(bm.ResidentHeap)}
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return h.cachedServeGraph(key), nil
-}
-
-func (h *Harness) cachedServeGraph(key string) *affinity.Graph {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.serveGraphs[key]
-}
-
-// serveRun executes one serve scenario: cold startup to the first
-// response, then the request bursts with inter-burst pressure. One request
-// is one RunMethod call on the dispatch entry (StopOnRespond stops the
-// machine at the request's respond intrinsic); its latency is the
-// simulated CPU delta plus the fault I/O it incurred.
-// trackAffinity forces the co-access recorder on regardless of the
-// harness config — the serve affinity recording needs a graph even on
-// detached harnesses.
-func (h *Harness) serveRun(img *image.Image, w workloads.Workload, strategy string, scfg ServeConfig, trackAffinity bool) (*ServeOutcome, error) {
-	scfg = scfg.withDefaults() // direct callers may pass a sparse config
-	cls := img.Program.Class(w.Serve.DispatchClass)
-	if cls == nil {
-		return nil, fmt.Errorf("eval: serve %s: dispatch class %s missing", w.Name, w.Serve.DispatchClass)
-	}
-	meth := cls.LookupMethod(w.Serve.DispatchMethod)
-	if meth == nil || !meth.Static || meth.NParams != 1 {
-		return nil, fmt.Errorf("eval: serve %s: dispatch method %s.%s must be static with one parameter",
-			w.Name, w.Serve.DispatchClass, w.Serve.DispatchMethod)
-	}
-
-	o := h.newOS()
-	o.CacheBudget = scfg.CacheBudget
-	o.Policy = scfg.Policy
-	if trackAffinity {
-		o.TrackAffinity = true
-	}
-	if h.Cfg.Observe {
-		o.Obs = obs.NewRegistry()
-	}
-	proc, err := img.NewProcess(o, vm.Hooks{})
-	if err != nil {
-		return nil, err
-	}
-	proc.Machine.StopOnRespond = true
-	if err := proc.Run(w.Args...); err != nil {
-		proc.Close()
-		return nil, fmt.Errorf("eval: serve startup of %s: %w", w.Name, err)
-	}
-	st := proc.Stats()
-	if st.TimeToResponse <= 0 {
-		proc.Close()
-		return nil, fmt.Errorf("eval: serve %s never responded during startup", w.Name)
-	}
-	f, err := img.File(o)
-	if err != nil {
-		proc.Close()
-		return nil, err
-	}
-
-	var latHist *obs.Histogram
-	var streamHists []*obs.Histogram
-	var burstTl *obs.Timeline
-	if o.Obs.Enabled() {
-		latHist = o.Obs.Histogram("serve.latency_nanos", obs.LatencyBuckets())
-		burstTl = o.Obs.Timeline("serve.burst",
-			"requests", "p50_nanos", "p99_nanos", "major", "minor",
-			"refaults", "evicted", "resident_text", "resident_heap")
-		if scfg.Streams > 1 {
-			streamHists = make([]*obs.Histogram, scfg.Streams)
-			for s := range streamHists {
-				streamHists[s] = o.Obs.Histogram(
-					fmt.Sprintf("serve.stream%02d.latency_nanos", s), obs.LatencyBuckets())
-			}
-		}
-	}
-
+	tn, f, proc := r.tenants[0], r.files[0], r.procs[0]
 	out := &ServeOutcome{
-		Workload:     w.Name,
-		Strategy:     strategy,
-		Config:       scfg,
-		StartupNanos: float64(st.TimeToResponse.Nanoseconds()),
+		Workload:      w.Name,
+		Strategy:      strategy,
+		Config:        scfg,
+		StartupNanos:  tn.startupNanos,
+		Bursts:        tn.bursts,
+		WarmMeanNanos: tn.warmMean,
+		WarmP99Nanos:  tn.warmP99,
+		EvictedPages:  f.EvictedPages(),
+		RefaultPages:  f.RefaultedPages(),
+		Requests:      r.trace,
 	}
-	var trace *obs.RequestTrace
-	if scfg.RecordRequests {
-		trace = obs.NewRequestTrace(scfg.Streams, scfg.Bursts*scfg.BurstSize*scfg.Streams)
-		trace.Workload = w.Name
-		trace.Layout = strategy
-	}
-	// The server clock: one simulated CPU executing requests back to back,
-	// so elapsed server time is the machine's CPU nanos plus all fault I/O
-	// it has waited on.
-	clock := func() float64 {
-		return proc.Machine.SimTimeNanos() + float64(proc.Mapping.IOTime.Nanoseconds())
-	}
-	var warm, all []float64
-	reqByStream := make([]int, scfg.Streams) // per-stream request ordinal, for routes
-	reqID := 0
-	for b := 0; b < scfg.Bursts; b++ {
-		evict0 := f.EvictedPages()
-		if b > 0 && scfg.PressurePct > 0 {
-			o.ReclaimFraction(scfg.PressurePct)
-			trace.Mark(obs.MarkReclaim, b, clock())
-		}
-		trace.Mark(obs.MarkBurst, b, clock())
-		faults0 := proc.Mapping.Faults
-		major0 := proc.Mapping.MajorFaults
-		refault0 := proc.Mapping.Refaults
-		io0 := proc.Mapping.IOTime
-		// Closed-loop clients: every stream submits its first request at
-		// the burst start and its next one the instant the previous
-		// response returns. The single-CPU server drains the burst in the
-		// seeded interleave order; the gap between a request's arrival and
-		// its service start is queue wait.
-		burstStart := clock()
-		arrival := make([]float64, scfg.Streams)
-		remaining := make([]int, scfg.Streams)
-		for s := range remaining {
-			arrival[s] = burstStart
-			remaining[s] = scfg.BurstSize
-		}
-		total := scfg.Streams * scfg.BurstSize
-		lats := make([]float64, 0, total)
-		var queueSum, queueMax float64
-		for t := 0; t < total; t++ {
-			s := pickStream(scfg, b, t, remaining)
-			remaining[s]--
-			k := reqByStream[s]
-			reqByStream[s]++
-			route := routeForStream(s, k, scfg, w.Serve.Routes)
-			if scfg.Streams > 1 {
-				proc.Mapping.SetStream(s)
-			}
-			serviceStart := clock()
-			rFaults0 := proc.Mapping.Faults
-			rMajor0 := proc.Mapping.MajorFaults
-			rRefault0 := proc.Mapping.Refaults
-			rIO0 := proc.Mapping.IOTime
-			steps0 := proc.Machine.Steps
-			if _, err := proc.Machine.RunMethod(meth, heap.IntVal(int64(route))); err != nil {
-				proc.Close()
-				return nil, fmt.Errorf("eval: serve %s burst %d request %d: %w", w.Name, b, t, err)
-			}
-			end := clock()
-			service := end - serviceStart
-			queue := serviceStart - arrival[s]
-			lat := queue + service
-			arrival[s] = end
-			queueSum += queue
-			if queue > queueMax {
-				queueMax = queue
-			}
-			lats = append(lats, lat)
-			latHist.Observe(lat)
-			if streamHists != nil {
-				streamHists[s].Observe(lat)
-			}
-			trace.Record(obs.RequestRecord{
-				ID: reqID, Stream: s, Burst: b, Route: route,
-				StartNanos: serviceStart - queue, QueueNanos: queue,
-				ServiceNanos: service, LatencyNanos: lat,
-				Steps:       proc.Machine.Steps - steps0,
-				Faults:      proc.Mapping.Faults - rFaults0,
-				MajorFaults: proc.Mapping.MajorFaults - rMajor0,
-				Refaults:    proc.Mapping.Refaults - rRefault0,
-				IONanos:     (proc.Mapping.IOTime - rIO0).Nanoseconds(),
-			})
-			reqID++
-		}
-		sort.Float64s(lats)
-		major := proc.Mapping.MajorFaults - major0
-		bm := BurstMeasure{
-			Burst:         b,
-			Requests:      len(lats),
-			P50Nanos:      obs.QuantileExact(lats, 0.50),
-			P90Nanos:      obs.QuantileExact(lats, 0.90),
-			P99Nanos:      obs.QuantileExact(lats, 0.99),
-			MeanNanos:     Mean(lats),
-			MajorFaults:   major,
-			MinorFaults:   (proc.Mapping.Faults - faults0) - major,
-			Refaults:      proc.Mapping.Refaults - refault0,
-			IONanos:       (proc.Mapping.IOTime - io0).Nanoseconds(),
-			EvictedPages:  f.EvictedPages() - evict0,
-			ResidentText:  f.ResidentInSection(image.SectionText),
-			ResidentHeap:  f.ResidentInSection(image.SectionHeap),
-			MaxQueueNanos: queueMax,
-		}
-		if len(lats) > 0 {
-			bm.MeanQueueNanos = queueSum / float64(len(lats))
-		}
-		out.Bursts = append(out.Bursts, bm)
-		if burstTl != nil {
-			burstTl.Record(fmt.Sprintf("burst-%d", b),
-				int64(bm.Requests), int64(bm.P50Nanos), int64(bm.P99Nanos),
-				bm.MajorFaults, bm.MinorFaults, bm.Refaults, bm.EvictedPages,
-				int64(bm.ResidentText), int64(bm.ResidentHeap))
-		}
-		all = append(all, lats...)
-		if b >= 1 {
-			warm = append(warm, lats...)
-		}
-	}
-	if len(warm) == 0 {
-		// Single-burst configs: the cold burst is all there is.
-		warm = all
-	}
-	sort.Float64s(warm)
-	out.WarmMeanNanos = Mean(warm)
-	out.WarmP99Nanos = obs.QuantileExact(warm, 0.99)
-	out.Requests = trace
-	out.EvictedPages = f.EvictedPages()
-	out.RefaultPages = f.RefaultedPages()
 	if tab := proc.AttributionTable(); tab != nil {
 		tab.Layout = strategy
 		out.Attrib = tab
@@ -631,15 +399,12 @@ func (h *Harness) serveRun(img *image.Image, w workloads.Workload, strategy stri
 			affinity.NewPlacement(img.AttributionIndex().Symbols()),
 			strategy, scfg.PressurePct, scfg.CacheBudget)
 		if err != nil {
-			proc.Close()
+			r.close()
 			return nil, err
 		}
 		out.Scorecard = sc
 	}
-	proc.Close()
-	if o.Obs != nil {
-		out.Report = o.Obs.Snapshot()
-	}
+	out.Report = r.close()
 	return out, nil
 }
 

@@ -12,6 +12,7 @@ package image
 
 import (
 	"fmt"
+	"sync"
 
 	"nimage/internal/core"
 	"nimage/internal/graal"
@@ -140,8 +141,9 @@ type Image struct {
 	HeapSection osim.Section
 	FileSize    int64
 
-	files     map[*osim.OS]*osim.File
 	attrIndex *attrib.Index
+	// procMu serializes the image's processes (NewProcess to Close).
+	procMu sync.Mutex
 }
 
 // Build constructs an image of the program.
@@ -170,7 +172,6 @@ func Build(p *ir.Program, opts Options) (*Image, error) {
 		Program: p,
 		Opts:    opts,
 		Comp:    graal.Assemble(p, opts.Compiler, instr, opts.Kind == KindOptimized, reach),
-		files:   make(map[*osim.OS]*osim.File),
 	}
 	img.Table = profiler.NewMethodTable(img.Comp.Reach.CompiledMethods())
 	if opts.Kind == KindInstrumented && opts.Instr == graal.InstrHeap {

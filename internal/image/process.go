@@ -16,19 +16,13 @@ import (
 )
 
 // File returns (creating on first use) the on-disk representation of the
-// image under the given OS's page cache.
+// image under the given OS's page cache. The OS owns the association, so
+// every process of the image on that OS shares one file while the image
+// never keeps an OS reachable.
 func (img *Image) File(o *osim.OS) (*osim.File, error) {
-	if f, ok := img.files[o]; ok {
-		return f, nil
-	}
-	f, err := o.NewFile(img.Program.Name+".bin", img.FileSize, []osim.Section{
+	return o.FileFor(img, img.Program.Name+".bin", img.FileSize, []osim.Section{
 		img.TextSection, img.HeapSection,
 	})
-	if err != nil {
-		return nil, err
-	}
-	img.files[o] = f
-	return f, nil
 }
 
 // Process is one execution of the image: a fresh memory mapping over the
@@ -62,9 +56,19 @@ type Process struct {
 
 // NewProcess starts a process over the image. extra hooks (e.g. a tracing
 // profiler's) are composed with the image's own page-touching hooks.
+//
+// A process mutates the image's build-time heap (statics, snapshot
+// objects, interned strings) and undoes the mutations at Close, so the
+// processes of one image are serialized: NewProcess blocks until the
+// image's previous process is closed. Close a process before starting the
+// next one of the same image on the same goroutine; code holding
+// processes of several images at once must acquire them in one global
+// order.
 func (img *Image) NewProcess(o *osim.OS, extra vm.Hooks) (*Process, error) {
+	img.procMu.Lock()
 	f, err := img.File(o)
 	if err != nil {
+		img.procMu.Unlock()
 		return nil, err
 	}
 	p := &Process{
@@ -230,7 +234,7 @@ func (p *Process) Stats() Stats {
 
 // Close rolls back every mutation the run applied to the image heap, so
 // the image can be executed again from pristine state (the next benchmark
-// iteration's fresh process).
+// iteration's fresh process), and lets the image's next process start.
 func (p *Process) Close() {
 	if p.closed {
 		return
@@ -256,4 +260,5 @@ func (p *Process) Close() {
 	// munmap: later cache evictions (or the next iteration's DropCaches)
 	// must not walk this dead process's page table or observers.
 	p.Mapping.Release()
+	p.Img.procMu.Unlock()
 }

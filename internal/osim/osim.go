@@ -91,6 +91,8 @@ type OS struct {
 	DefaultTenant int
 
 	files []*File
+	// keyed indexes the files registered through FileFor.
+	keyed map[any]*File
 
 	// Tenant accounting state (tenant.go): per-tenant fault counters, the
 	// eviction interference matrix, and per-tenant residency quotas. All
@@ -212,6 +214,26 @@ func (o *OS) NewFile(name string, size int64, sections []Section) (*File, error)
 		o.enableTenants(f.tenant)
 	}
 	o.files = append(o.files, f)
+	return f, nil
+}
+
+// FileFor returns the file registered under key, registering it with
+// NewFile on first use. A higher layer that starts many processes over one
+// artifact (an image) keys the artifact's file here: every process on this
+// OS shares the file's page-cache state, and the association lives and
+// dies with the OS instead of keeping the OS reachable from the artifact.
+func (o *OS) FileFor(key any, name string, size int64, sections []Section) (*File, error) {
+	if f, ok := o.keyed[key]; ok {
+		return f, nil
+	}
+	f, err := o.NewFile(name, size, sections)
+	if err != nil {
+		return nil, err
+	}
+	if o.keyed == nil {
+		o.keyed = make(map[any]*File)
+	}
+	o.keyed[key] = f
 	return f, nil
 }
 

@@ -493,3 +493,38 @@ func TestSetStreamRejectsNegative(t *testing.T) {
 	}()
 	m.SetStream(-1)
 }
+
+// TestFileForSharesPerKey: FileFor registers one file per key and hands
+// the same file back for that key, taking tenant ownership from
+// DefaultTenant at registration like NewFile.
+func TestFileForSharesPerKey(t *testing.T) {
+	o := NewOS(SSD())
+	secs := []Section{{Name: ".text", Off: 0, Len: 2 * PageSize}}
+	type key struct{ id int }
+	k1, k2 := &key{1}, &key{2}
+	o.DefaultTenant = 3
+	a, err := o.FileFor(k1, "a", 2*PageSize, secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.DefaultTenant = -1
+	if b, _ := o.FileFor(k1, "a", 2*PageSize, secs); b != a {
+		t.Error("same key registered a second file")
+	}
+	if a.Tenant() != 3 {
+		t.Errorf("keyed file owned by tenant %d, want 3", a.Tenant())
+	}
+	c, err := o.FileFor(k2, "a", 2*PageSize, secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == a {
+		t.Error("distinct keys share one file")
+	}
+	if _, err := o.FileFor(&key{3}, "bad", PageSize, secs); err == nil {
+		t.Error("FileFor accepted a section outside the file")
+	}
+	if b, _ := o.FileFor(k1, "a", 2*PageSize, secs); b != a {
+		t.Error("a failed registration disturbed an existing key")
+	}
+}
