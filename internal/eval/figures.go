@@ -8,7 +8,6 @@ import (
 	"nimage/internal/core"
 	"nimage/internal/image"
 	"nimage/internal/osim"
-	"nimage/internal/profiler"
 	"nimage/internal/vm"
 	"nimage/internal/workloads"
 )
@@ -237,19 +236,11 @@ func (h *Harness) pageStates(workloadName, section, strategy string) (regular, o
 		return nil, nil, err
 	}
 
-	mode := profiler.DumpOnFull
-	if w.Service {
-		mode = profiler.MemoryMapped
+	opts, err := h.pipelineOptions(w, strategy, 0, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	res, err := image.BuildOptimized(p, image.PipelineOptions{
-		Compiler:         h.Cfg.Compiler,
-		Strategy:         strategy,
-		InstrumentedSeed: instrumentedSeed(0),
-		OptimizedSeed:    optimizedSeed(0),
-		Mode:             mode,
-		Args:             w.Args,
-		Service:          w.Service,
-	})
+	res, err := h.buildOptimized(w, opts)
 	if err != nil {
 		return nil, nil, err
 	}

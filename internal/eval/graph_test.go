@@ -8,9 +8,14 @@ package eval
 
 import (
 	"math"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"nimage/internal/core"
+	"nimage/internal/graal"
+	"nimage/internal/obs/attrib"
 	"nimage/internal/workloads"
 )
 
@@ -178,4 +183,79 @@ func TestServeTablesCoverRegisteredServeStrategies(t *testing.T) {
 			t.Errorf("no geomean cell for strategy %q", s)
 		}
 	}
+}
+
+// TestColdStartGraphRowsCoincide pins down why c3, ext-tsp and slo-search
+// print identical factors on every cold-start figure although their code
+// orders differ (DESIGN §3). Each order is a permutation of the one
+// cold-start recording's text symbols, so all three layouts pack the same
+// CUs into a prefix of the same length and place every unprofiled CU at
+// the same offset after it. The cold run touches every fault-around
+// window of that short prefix under any permutation and the same pages
+// after it, and graph strategies leave .svm_heap alone, so faults and
+// time coincide.
+func TestColdStartGraphRowsCoincide(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Builds = 1
+	cfg.Iterations = 1
+	h := NewHarness(cfg)
+	graphs := []string{core.StrategyC3, core.StrategyExtTSP, core.StrategySLOSearch}
+	for _, name := range []string{"Bounce", "micronaut"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts, err := h.pipelineOptions(w, core.StrategyC3, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var symbols []string
+		for _, n := range opts.Profiles[graal.InstrNone].Graph.Nodes {
+			if n.Kind == attrib.KindCU {
+				symbols = append(symbols, n.Name)
+			}
+		}
+		orders := make(map[string]string)
+		var tail []int64
+		var measures []RunMeasure
+		for _, s := range graphs {
+			opts, err := h.pipelineOptions(w, s, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := h.buildOptimized(w, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sortedSet(res.CodeProfile), sortedSet(symbols); got != want {
+				t.Errorf("%s/%s: profile is not a permutation of the recording's CUs", name, s)
+			}
+			orders[s] = strings.Join(res.CodeProfile, "\n")
+			img := res.Optimized
+			tail = append(tail, img.CUOffset[img.CULayout[img.CodeOrderStats.Matched]])
+			o, err := h.MeasureStrategy(w, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			measures = append(measures, o.Measures[0])
+		}
+		if orders[core.StrategyC3] == orders[core.StrategyExtTSP] {
+			t.Errorf("%s: c3 and ext-tsp bake one order", name)
+		}
+		for i := 1; i < len(graphs); i++ {
+			if tail[i] != tail[0] {
+				t.Errorf("%s: first unprofiled CU at %d under %s, %d under %s",
+					name, tail[i], graphs[i], tail[0], graphs[0])
+			}
+			if !reflect.DeepEqual(measures[i], measures[0]) {
+				t.Errorf("%s: %s measures %+v, %s %+v", name, graphs[i], measures[i], graphs[0], measures[0])
+			}
+		}
+	}
+}
+
+func sortedSet(xs []string) string {
+	c := append([]string(nil), xs...)
+	sort.Strings(c)
+	return strings.Join(c, "\n")
 }

@@ -40,7 +40,11 @@ type Config struct {
 	// match statistics) and every benchmark iteration (fault timelines,
 	// instruction mix), populating RunMeasure.Report and the Pipeline
 	// snapshots of the outcomes. Off by default: the measurement fast paths
-	// then carry no instrumentation cost.
+	// then carry no instrumentation cost. An observed harness also keeps
+	// the profiling phase inside every pipeline, so each strategy's
+	// snapshot covers its own profiling runs under its own name; a
+	// detached harness profiles once per (workload, build, probe kind)
+	// and shares the outcome across strategies (pipelineOptions).
 	Observe bool
 	// TrackAffinity attaches the temporal co-access recorder to every
 	// measured process (populating RunMeasure.Affinity/Scorecard and
@@ -127,6 +131,7 @@ type Harness struct {
 	serveGraphs map[string]*affinity.Graph
 	searchCache map[string]*SearchResult
 	fleetCache  map[string][]*FleetOutcome
+	profiles    map[string]*image.Profile
 
 	sched sched
 }
@@ -143,6 +148,7 @@ func NewHarness(cfg Config) *Harness {
 		serveGraphs: make(map[string]*affinity.Graph),
 		searchCache: make(map[string]*SearchResult),
 		fleetCache:  make(map[string][]*FleetOutcome),
+		profiles:    make(map[string]*image.Profile),
 	}
 }
 
@@ -279,6 +285,79 @@ func baselineSeed(build int) uint64     { return 0x5eed0000 + uint64(build) }
 func instrumentedSeed(build int) uint64 { return 0x1457a000 + uint64(build)*31 }
 func optimizedSeed(build int) uint64    { return 0x0b715000 + uint64(build)*17 }
 
+// pipelineOptions is the one place the harness assembles the optimizing
+// pipeline's inputs for build bld of a strategy on a workload. Seeds
+// derive from the build and the dump mode, service flag and arguments
+// from the workload, so one shared-profile key always stands for one set
+// of inputs. graph, when non-nil, is the affinity graph graph strategies
+// bake from instead of a cold-start recording. On a detached harness the
+// options carry the build's shared profile of every probe kind the
+// strategy needs (sharedProfile); an observed one lets each pipeline
+// profile itself (Config.Observe), and Pettis–Hansen always does.
+func (h *Harness) pipelineOptions(w workloads.Workload, strategy string, bld int, graph *affinity.Graph) (image.PipelineOptions, error) {
+	opts := image.PipelineOptions{
+		Compiler:         h.Cfg.Compiler,
+		Strategy:         strategy,
+		InstrumentedSeed: instrumentedSeed(bld),
+		OptimizedSeed:    optimizedSeed(bld),
+		Mode:             profiler.DumpOnFull,
+		Args:             w.Args,
+		Service:          w.Service,
+		AffinityGraph:    graph,
+	}
+	if w.Service {
+		// Killed workloads need durable buffers (Sec. 6.1).
+		opts.Mode = profiler.MemoryMapped
+	}
+	info, ok := core.StrategyByName(strategy)
+	if h.Cfg.Observe || !ok || strategy == core.StrategyPettisHansen {
+		return opts, nil
+	}
+	kinds := info.Instr
+	if info.Graph && graph == nil {
+		kinds = []graal.Instrumentation{graal.InstrNone}
+	}
+	for _, kind := range kinds {
+		prof, err := h.sharedProfile(w, bld, kind, opts)
+		if err != nil {
+			return opts, err
+		}
+		if opts.Profiles == nil {
+			opts.Profiles = make(map[graal.Instrumentation]*image.Profile, len(kinds))
+		}
+		opts.Profiles[kind] = prof
+	}
+	return opts, nil
+}
+
+// sharedProfile records the profiling phase of one probe kind once per
+// (workload, build) — graal.InstrNone being the graph recording — for
+// every strategy of that build. opts are the requester's pipeline
+// options; the recording uses only their build inputs, which depend on
+// the key alone.
+func (h *Harness) sharedProfile(w workloads.Workload, bld int, kind graal.Instrumentation, opts image.PipelineOptions) (*image.Profile, error) {
+	key := fmt.Sprintf("%s\x00%d\x00%v", w.Name, bld, kind)
+	return memo(h, h.profiles, "profile", key, func() (*image.Profile, error) {
+		h.sched.profilingRuns.Add(1)
+		prof, err := image.RecordProfile(h.Program(w), opts, kind)
+		if err != nil {
+			return nil, fmt.Errorf("eval: %s profiling (%v): %w", w.Name, kind, err)
+		}
+		return prof, nil
+	})
+}
+
+// buildOptimized runs the pipeline on options from pipelineOptions,
+// counting the profiling runs the pipeline performed itself.
+func (h *Harness) buildOptimized(w workloads.Workload, opts image.PipelineOptions) (*image.PipelineResult, error) {
+	res, err := image.BuildOptimized(h.Program(w), opts)
+	if err != nil {
+		return nil, err
+	}
+	h.sched.profilingRuns.Add(int64(len(res.Runs) - len(opts.Profiles)))
+	return res, nil
+}
+
 // BaselineOutcome is the measurement of the unmodified images of one
 // workload.
 type BaselineOutcome struct {
@@ -406,12 +485,6 @@ func (h *Harness) MeasureStrategy(w workloads.Workload, strategy string) (*Strat
 // measureBaseline, every result slice is indexed by build, so the outcome
 // is bit-identical for every worker count.
 func (h *Harness) measureStrategy(w workloads.Workload, strategy string) (*StrategyOutcome, error) {
-	p := h.Program(w)
-	mode := profiler.DumpOnFull
-	if w.Service {
-		// Killed workloads need durable buffers (Sec. 6.1).
-		mode = profiler.MemoryMapped
-	}
 	iters := h.Cfg.Iterations
 	out := &StrategyOutcome{Strategy: strategy}
 	measures := make([]RunMeasure, h.Cfg.Builds*iters)
@@ -423,16 +496,12 @@ func (h *Harness) measureStrategy(w workloads.Workload, strategy string) (*Strat
 		if h.Cfg.Observe {
 			r = obs.NewRegistry()
 		}
-		res, err := image.BuildOptimized(p, image.PipelineOptions{
-			Compiler:         h.Cfg.Compiler,
-			Strategy:         strategy,
-			InstrumentedSeed: instrumentedSeed(bld),
-			OptimizedSeed:    optimizedSeed(bld),
-			Mode:             mode,
-			Args:             w.Args,
-			Service:          w.Service,
-			Obs:              r,
-		})
+		opts, err := h.pipelineOptions(w, strategy, bld, nil)
+		if err != nil {
+			return err
+		}
+		opts.Obs = r
+		res, err := h.buildOptimized(w, opts)
 		if err != nil {
 			return fmt.Errorf("eval: %s/%s: %w", w.Name, strategy, err)
 		}

@@ -44,6 +44,10 @@ type sched struct {
 	// buildTasks counts executed build+measure tasks (tests assert that
 	// singleflight never duplicates one).
 	buildTasks atomic.Int64
+	// profilingRuns counts executed profiling and graph-recording runs,
+	// shared or performed inside a pipeline (tests assert one per probe
+	// kind and build).
+	profilingRuns atomic.Int64
 }
 
 // Workers returns the effective worker-pool size: Config.Workers when

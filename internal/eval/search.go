@@ -30,9 +30,7 @@ import (
 	"strings"
 
 	"nimage/internal/core"
-	"nimage/internal/image"
 	"nimage/internal/obs"
-	"nimage/internal/profiler"
 	"nimage/internal/workloads"
 )
 
@@ -225,7 +223,6 @@ func (h *Harness) searchLayout(w workloads.Workload, cfg SearchConfig) (*SearchR
 		}
 		baseRefaults[p] = o.RefaultPages
 	}
-	prog := h.Program(w)
 
 	// measure bakes a candidate order through the graph-driven pipeline
 	// path (build 0 seeds, the same options the serve images use) and
@@ -237,17 +234,12 @@ func (h *Harness) searchLayout(w workloads.Workload, cfg SearchConfig) (*SearchR
 		if sc, ok := scores[d]; ok {
 			return sc, nil
 		}
-		res, err := image.BuildOptimized(prog, image.PipelineOptions{
-			Compiler:         h.Cfg.Compiler,
-			Strategy:         core.StrategySLOSearch,
-			InstrumentedSeed: instrumentedSeed(0),
-			OptimizedSeed:    optimizedSeed(0),
-			Mode:             profiler.MemoryMapped,
-			Args:             w.Args,
-			Service:          true,
-			AffinityGraph:    g,
-			CodeOrder:        c.Order,
-		})
+		opts, err := h.pipelineOptions(w, core.StrategySLOSearch, 0, g)
+		if err != nil {
+			return SearchScore{}, err
+		}
+		opts.CodeOrder = c.Order
+		res, err := h.buildOptimized(w, opts)
 		if err != nil {
 			return SearchScore{}, fmt.Errorf("eval: search bake of %s candidate %s: %w", w.Name, c.ID, err)
 		}

@@ -20,7 +20,6 @@ import (
 	"nimage/internal/obs/affinity"
 	"nimage/internal/obs/attrib"
 	"nimage/internal/osim"
-	"nimage/internal/profiler"
 	"nimage/internal/workloads"
 )
 
@@ -279,9 +278,8 @@ func (h *Harness) measureServe(w workloads.Workload, strategy string, scfg Serve
 func (h *Harness) serveImage(w workloads.Workload, strategy string, bld int) (*image.Image, error) {
 	key := fmt.Sprintf("%s\x00%s\x00%d", w.Name, strategy, bld)
 	return memo(h, h.serveImgs, "simg", key, func() (*image.Image, error) {
-		p := h.Program(w)
 		if strategy == LayoutBaseline {
-			img, err := image.Build(p, image.Options{
+			img, err := image.Build(h.Program(w), image.Options{
 				Kind: image.KindRegular, Compiler: h.Cfg.Compiler, BuildSeed: baselineSeed(bld),
 			})
 			if err != nil {
@@ -289,37 +287,30 @@ func (h *Harness) serveImage(w workloads.Workload, strategy string, bld int) (*i
 			}
 			return img, nil
 		}
-		popts := image.PipelineOptions{
-			Compiler:         h.Cfg.Compiler,
-			Strategy:         strategy,
-			InstrumentedSeed: instrumentedSeed(bld),
-			OptimizedSeed:    optimizedSeed(bld),
-			// Serve workloads are services: durable buffers (Sec. 6.1).
-			Mode:    profiler.MemoryMapped,
-			Args:    w.Args,
-			Service: true,
-		}
+		var g *affinity.Graph
 		if core.IsGraphStrategy(strategy) {
 			// Graph strategies optimize burst residency, so they bake from
-			// the baseline *serve* recording rather than letting the
-			// pipeline record a cold start.
-			g, err := h.serveAffinityGraph(w, bld)
+			// the baseline *serve* recording rather than a cold-start one.
+			var err error
+			if g, err = h.serveAffinityGraph(w, bld); err != nil {
+				return nil, err
+			}
+		}
+		popts, err := h.pipelineOptions(w, strategy, bld, g)
+		if err != nil {
+			return nil, err
+		}
+		if strategy == core.StrategySLOSearch {
+			// slo-search bakes the measured search winner: one searched
+			// order per workload (memoized), rebuilt here with this
+			// build's seed like any other strategy.
+			sr, err := h.SearchLayout(w, DefaultSearchConfig())
 			if err != nil {
 				return nil, err
 			}
-			popts.AffinityGraph = g
-			if strategy == core.StrategySLOSearch {
-				// slo-search bakes the measured search winner: one searched
-				// order per workload (memoized), rebuilt here with this
-				// build's seed like any other strategy.
-				sr, err := h.SearchLayout(w, DefaultSearchConfig())
-				if err != nil {
-					return nil, err
-				}
-				popts.CodeOrder = sr.Order
-			}
+			popts.CodeOrder = sr.Order
 		}
-		res, err := image.BuildOptimized(p, popts)
+		res, err := h.buildOptimized(w, popts)
 		if err != nil {
 			return nil, fmt.Errorf("eval: serve %s/%s: %w", w.Name, strategy, err)
 		}

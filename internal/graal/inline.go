@@ -1,10 +1,6 @@
 package graal
 
-import (
-	"sort"
-
-	"nimage/internal/ir"
-)
+import "nimage/internal/ir"
 
 // CompilationUnit is a CU of the .text section: a root method plus every
 // method transitively inlined into it (Sec. 2). The same method may be
@@ -148,11 +144,11 @@ func BuildCUs(reach *Reachability, cfg Config, instr Instrumentation, pgo bool) 
 		cfg: cfg, instr: instr, pgo: pgo, reach: reach,
 		sizeOf: func(m *ir.Method) int { return effectiveSize(m, cfg, instr) },
 	}
+	// CompiledMethods is in signature order, so the CUs are too.
 	methods := reach.CompiledMethods()
 	cus := make([]*CompilationUnit, 0, len(methods))
 	for _, m := range methods {
 		cus = append(cus, il.build(m))
 	}
-	sort.Slice(cus, func(i, j int) bool { return cus[i].Signature() < cus[j].Signature() })
 	return cus
 }

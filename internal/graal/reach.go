@@ -1,10 +1,6 @@
 package graal
 
-import (
-	"sort"
-
-	"nimage/internal/ir"
-)
+import "nimage/internal/ir"
 
 // Reachability is the result of the points-to-style analysis: the sets of
 // reachable methods and classes. The analysis is conservative — it always
@@ -135,6 +131,6 @@ func (r *Reachability) CompiledMethods() []*ir.Method {
 			out = append(out, m)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Signature() < out[j].Signature() })
+	ir.SortBySignature(out)
 	return out
 }

@@ -55,6 +55,16 @@ type PipelineOptions struct {
 	// harness) pass it here so the layout optimizes burst residency
 	// rather than startup.
 	AffinityGraph *affinity.Graph
+	// Profiles supplies pre-recorded profiling phases (RecordProfile)
+	// keyed by probe kind; graal.InstrNone keys the graph strategies'
+	// recording, which AffinityGraph overrides. A probe kind found here is
+	// not recorded again, so callers baking several strategies of one
+	// build profile each kind once. Each entry must have been recorded
+	// with these options' Compiler, InstrumentedSeed, Mode, Args, Service
+	// and MaxPaths. When nil, the pipeline records everything itself. The
+	// Pettis–Hansen baseline ignores it: its run carries its own
+	// call-graph collector.
+	Profiles map[graal.Instrumentation]*Profile
 	// CodeOrder, when non-nil, overrides the "slo-search" strategy's text
 	// ordering with a caller-resolved winner (the eval harness injects the
 	// measured layout-search result here). Other strategies ignore it;
@@ -81,8 +91,9 @@ type ProfilingRun struct {
 type PipelineResult struct {
 	// Optimized is the profile-guided image.
 	Optimized *Image
-	// Runs lists the profiling executions performed (one, or two for the
-	// combined strategy).
+	// Runs lists the profiling executions the profiles come from (one, or
+	// two for the combined strategy), whether performed by this call or
+	// taken from PipelineOptions.Profiles.
 	Runs []ProfilingRun
 	// CodeProfile / HeapProfile are the ordering profiles fed to the
 	// optimized build.
@@ -128,27 +139,63 @@ func heapStrategyByName(name string) core.HeapStrategy {
 	return nil
 }
 
+// Profile is the outcome of one profiling phase of Fig. 1: the build at
+// InstrumentedSeed, its profiling run and the post-processed ordering
+// input. It depends on the probe kind and the build inputs only, never on
+// the strategy that consumes it — the heap ID scheme matters only when
+// the optimized build matches objects (Sec. 5), so the heap profile is
+// kept translated for every scheme. Every strategy of one build that
+// needs the same probe kind can therefore share one Profile.
+type Profile struct {
+	Run ProfilingRun
+	// Code is the code-ordering profile of an InstrCU or InstrMethod run.
+	Code []string
+	// Heap is the heap-ordering profile of an InstrHeap run, translated
+	// for every identity scheme of core.HeapStrategies and keyed by the
+	// scheme's name.
+	Heap map[string][]uint64
+	// Graph is the co-access graph of an InstrNone recording run.
+	Graph *affinity.Graph
+}
+
+// RecordProfile runs the profiling phase of one probe kind with the
+// options' build inputs (Compiler, InstrumentedSeed, Mode, Args, Service,
+// MaxPaths) and returns its outcome for PipelineOptions.Profiles.
+// graal.InstrNone records the graph strategies' affinity graph on a
+// regular build instead of tracing an instrumented one. Spans and gauges
+// on opts.Obs are named after opts.Strategy.
+func RecordProfile(p *ir.Program, opts PipelineOptions, instr graal.Instrumentation) (*Profile, error) {
+	if instr == graal.InstrNone {
+		return recordGraph(p, opts)
+	}
+	return profileOnce(p, opts, instr, opts.Strategy)
+}
+
 // BuildOptimized runs the full pipeline for one strategy and returns the
 // optimized image. The combined "cu+heap path" strategy performs two
 // profiling runs — one CU-instrumented, one heap-instrumented — and feeds
-// both profiles to the optimizing build (Sec. 7.1).
+// both profiles to the optimizing build (Sec. 7.1). Probe kinds present in
+// opts.Profiles are taken from there instead of being recorded again.
 func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error) {
 	res := &PipelineResult{}
+	// collect takes the profile of the single probe kind of strategy and
+	// keeps the part strategy consumes.
 	collect := func(strategy string) error {
 		instr, err := strategyInstr(strategy)
 		if err != nil {
 			return err
 		}
-		run, code, heapProf, err := profileOnce(p, opts, instr, strategy)
-		if err != nil {
-			return err
+		prof := opts.Profiles[instr]
+		if prof == nil {
+			if prof, err = profileOnce(p, opts, instr, strategy); err != nil {
+				return err
+			}
 		}
-		res.Runs = append(res.Runs, run)
-		if code != nil {
-			res.CodeProfile = code
-		}
-		if heapProf != nil {
-			res.HeapProfile = heapProf
+		res.Runs = append(res.Runs, prof.Run)
+		if instr == graal.InstrHeap {
+			res.HeapProfile = prof.Heap[strategy]
+		} else {
+			res.CodeProfile = prof.Code
 		}
 		return nil
 	}
@@ -161,6 +208,13 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 		Obs:       opts.Obs,
 	}
 	switch {
+	case opts.Strategy == core.StrategyPettisHansen:
+		run, code, err := profilePettisHansen(p, opts)
+		if err != nil {
+			return nil, err
+		}
+		res.Runs = append(res.Runs, run)
+		res.CodeProfile = code
 	case opts.Strategy == core.StrategyCombined:
 		if err := collect(core.StrategyCU); err != nil {
 			return nil, err
@@ -197,56 +251,25 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 
 // profileGraph resolves a graph strategy's code profile: order the
 // affinity graph's text symbols with the strategy's chain-merging
-// algorithm. With no caller-provided graph it records one first — a
-// *regular* build at InstrumentedSeed run to completion (or first
-// response) with affinity tracking, the graph analogue of profileOnce
-// but without probe inflation — so graph strategies bake standalone,
-// exactly like the trace strategies. The resulting profile is plain CU
-// signatures, so the optimized build and the .nimg recipe treat graph
-// strategies identically to "cu".
+// algorithm. The graph is the caller's AffinityGraph, else the InstrNone
+// entry of Profiles, else a recording of its own (recordGraph), so graph
+// strategies bake standalone, exactly like the trace strategies. The
+// returned run is nil for a caller-provided AffinityGraph. The resulting
+// profile is plain CU signatures, so the optimized build and the .nimg
+// recipe treat graph strategies identically to "cu".
 func profileGraph(p *ir.Program, opts PipelineOptions) (*ProfilingRun, []string, error) {
 	g := opts.AffinityGraph
 	var run *ProfilingRun
 	if g == nil {
-		img, err := Build(p, Options{
-			Kind:      KindRegular,
-			Compiler:  opts.Compiler,
-			BuildSeed: opts.InstrumentedSeed,
-			MaxPaths:  opts.MaxPaths,
-			Obs:       opts.Obs,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("image: recording build: %w", err)
+		rec := opts.Profiles[graal.InstrNone]
+		if rec == nil {
+			var err error
+			if rec, err = recordGraph(p, opts); err != nil {
+				return nil, nil, err
+			}
 		}
-		sp := opts.Obs.StartSpan("pipeline." + opts.Strategy + ".profiling_run")
-		scratch := osim.NewOS(osim.SSD())
-		scratch.TrackAffinity = true
-		proc, err := img.NewProcess(scratch, vmHooks{})
-		if err != nil {
-			return nil, nil, err
-		}
-		defer proc.Close()
-		proc.Machine.StopOnRespond = opts.Service
-		if err := proc.Run(opts.Args...); err != nil {
-			return nil, nil, fmt.Errorf("image: recording run: %w", err)
-		}
-		st := proc.Stats()
-		run = &ProfilingRun{Instr: graal.InstrNone, Mode: opts.Mode}
-		if opts.Service && st.TimeToResponse > 0 {
-			run.Time = st.TimeToResponse
-		} else {
-			run.Time = st.Total
-		}
-		if opts.Service {
-			run.CPUTime = time.Duration(proc.Machine.RespondTimeNanos())
-		} else {
-			run.CPUTime = st.CPUTime
-		}
-		g = proc.AffinityGraph()
-		sp.End()
-		if g == nil {
-			return nil, nil, fmt.Errorf("image: %s: recording run produced no affinity graph", opts.Strategy)
-		}
+		r := rec.Run
+		g, run = rec.Graph, &r
 	}
 	sp := opts.Obs.StartSpan("pipeline." + opts.Strategy + ".postprocess")
 	defer sp.End()
@@ -271,11 +294,122 @@ func profileGraph(p *ir.Program, opts PipelineOptions) (*ProfilingRun, []string,
 	return run, profile, nil
 }
 
+// recordGraph records the graph strategies' affinity graph: a *regular*
+// build at InstrumentedSeed run to completion (or first response) with
+// affinity tracking — the graph analogue of profileOnce, but without
+// probe inflation.
+func recordGraph(p *ir.Program, opts PipelineOptions) (*Profile, error) {
+	img, err := Build(p, Options{
+		Kind:      KindRegular,
+		Compiler:  opts.Compiler,
+		BuildSeed: opts.InstrumentedSeed,
+		MaxPaths:  opts.MaxPaths,
+		Obs:       opts.Obs,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("image: recording build: %w", err)
+	}
+	sp := opts.Obs.StartSpan("pipeline." + opts.Strategy + ".profiling_run")
+	scratch := osim.NewOS(osim.SSD())
+	scratch.TrackAffinity = true
+	proc, err := img.NewProcess(scratch, vmHooks{})
+	if err != nil {
+		return nil, err
+	}
+	defer proc.Close()
+	proc.Machine.StopOnRespond = opts.Service
+	if err := proc.Run(opts.Args...); err != nil {
+		return nil, fmt.Errorf("image: recording run: %w", err)
+	}
+	prof := &Profile{Run: runStats(proc, opts, graal.InstrNone), Graph: proc.AffinityGraph()}
+	sp.End()
+	if prof.Graph == nil {
+		return nil, fmt.Errorf("image: %s: recording run produced no affinity graph", opts.Strategy)
+	}
+	return prof, nil
+}
+
+// runStats reports a finished profiling or recording run.
+func runStats(proc *Process, opts PipelineOptions, instr graal.Instrumentation) ProfilingRun {
+	run := ProfilingRun{Instr: instr, Mode: opts.Mode}
+	st := proc.Stats()
+	if opts.Service && st.TimeToResponse > 0 {
+		run.Time = st.TimeToResponse
+	} else {
+		run.Time = st.Total
+	}
+	if opts.Service {
+		run.CPUTime = time.Duration(proc.Machine.RespondTimeNanos())
+	} else {
+		run.CPUTime = st.CPUTime
+	}
+	return run
+}
+
 // profileOnce builds one instrumented image, executes it, and
-// post-processes the traces into profiles. It returns the code profile
-// (for InstrCU/InstrMethod) or the heap profile (for InstrHeap, translated
-// by the named strategy).
-func profileOnce(p *ir.Program, opts PipelineOptions, instr graal.Instrumentation, strategy string) (ProfilingRun, []string, []uint64, error) {
+// post-processes the traces into profiles: the code profile for
+// InstrCU/InstrMethod, or the heap profile translated for every identity
+// scheme for InstrHeap. label names the run's obs spans and gauges.
+func profileOnce(p *ir.Program, opts PipelineOptions, instr graal.Instrumentation, label string) (*Profile, error) {
+	run, img, traces, err := instrumentedRun(p, opts, instr, label, nil)
+	if err != nil {
+		return nil, err
+	}
+	sp := opts.Obs.StartSpan("pipeline." + label + ".postprocess")
+	defer sp.End()
+	prof := &Profile{Run: run}
+	switch instr {
+	case graal.InstrCU:
+		a := postproc.NewCUOrderAnalysis()
+		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
+			return nil, err
+		}
+		prof.Code = a.Profile()
+	case graal.InstrMethod:
+		a := postproc.NewMethodOrderAnalysis()
+		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
+			return nil, err
+		}
+		prof.Code = a.Profile()
+	default:
+		a := postproc.NewHeapOrderAnalysis()
+		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
+			return nil, err
+		}
+		prof.Heap = make(map[string][]uint64, len(img.StrategyIDs))
+		for _, s := range core.HeapStrategies() {
+			name := s.Name()
+			prof.Heap[name] = a.Profile(func(h uint64) (uint64, bool) {
+				return img.StrategyIDOfHandle(name, h)
+			})
+		}
+	}
+	return prof, nil
+}
+
+// profilePettisHansen profiles the Pettis–Hansen baseline. It needs edge
+// frequencies rather than a first-execution trace, so it attaches its own
+// call-graph collector to a CU-instrumented run and never shares it.
+func profilePettisHansen(p *ir.Program, opts PipelineOptions) (ProfilingRun, []string, error) {
+	callGraph := core.NewCallGraph()
+	run, img, _, err := instrumentedRun(p, opts, graal.InstrCU, core.StrategyPettisHansen, callGraph)
+	if err != nil {
+		return run, nil, err
+	}
+	sp := opts.Obs.StartSpan("pipeline." + core.StrategyPettisHansen + ".postprocess")
+	defer sp.End()
+	order := core.PettisHansenOrder(img.Comp.CUs, callGraph)
+	profile := make([]string, 0, len(order))
+	for _, cu := range order {
+		profile = append(profile, cu.Signature())
+	}
+	return run, profile, nil
+}
+
+// instrumentedRun builds the instrumented image of one probe kind,
+// executes it, and returns the run report, the image and the flushed
+// traces. callGraph, when non-nil, additionally collects call edges.
+func instrumentedRun(p *ir.Program, opts PipelineOptions, instr graal.Instrumentation, label string, callGraph *core.CallGraph) (ProfilingRun, *Image, []profiler.ThreadTrace, error) {
 	run := ProfilingRun{Instr: instr, Mode: opts.Mode}
 	img, err := Build(p, Options{
 		Kind:      KindInstrumented,
@@ -295,20 +429,15 @@ func profileOnce(p *ir.Program, opts PipelineOptions, instr graal.Instrumentatio
 	tr.Numberings = img.Numberings
 	tr.ObjectHandle = img.ObjectHandle
 	tr.Obs = opts.Obs
-
-	// The Pettis–Hansen baseline needs edge frequencies rather than a
-	// first-execution trace, so it attaches its own call-graph collector.
-	var callGraph *core.CallGraph
 	hooks := tr.Hooks()
-	if strategy == core.StrategyPettisHansen {
-		callGraph = core.NewCallGraph()
+	if callGraph != nil {
 		hooks = composePH(hooks, callGraph)
 	}
 
 	// The profiling run executes on a scratch OS; its page faults are
 	// irrelevant, but its simulated time (with profiling overhead) is the
 	// overhead measurement of Sec. 7.4.
-	sp := opts.Obs.StartSpan("pipeline." + strategy + ".profiling_run")
+	sp := opts.Obs.StartSpan("pipeline." + label + ".profiling_run")
 	scratch := osim.NewOS(osim.SSD())
 	proc, err := img.NewProcess(scratch, hooks)
 	if err != nil {
@@ -320,17 +449,7 @@ func profileOnce(p *ir.Program, opts PipelineOptions, instr graal.Instrumentatio
 	if err := proc.Run(opts.Args...); err != nil {
 		return run, nil, nil, fmt.Errorf("image: profiling run: %w", err)
 	}
-	st := proc.Stats()
-	if opts.Service && st.TimeToResponse > 0 {
-		run.Time = st.TimeToResponse
-	} else {
-		run.Time = st.Total
-	}
-	if opts.Service {
-		run.CPUTime = time.Duration(proc.Machine.RespondTimeNanos())
-	} else {
-		run.CPUTime = st.CPUTime
-	}
+	run = runStats(proc, opts, instr)
 
 	traces := tr.Finish(opts.Service)
 	for _, tt := range traces {
@@ -338,42 +457,8 @@ func profileOnce(p *ir.Program, opts PipelineOptions, instr graal.Instrumentatio
 	}
 	sp.End()
 	if r := opts.Obs; r.Enabled() {
-		r.Gauge("pipeline." + strategy + ".trace_words").Set(float64(run.TraceWords))
-		r.Gauge("pipeline." + strategy + ".profiling_cpu_nanos").Set(float64(run.CPUTime.Nanoseconds()))
+		r.Gauge("pipeline." + label + ".trace_words").Set(float64(run.TraceWords))
+		r.Gauge("pipeline." + label + ".profiling_cpu_nanos").Set(float64(run.CPUTime.Nanoseconds()))
 	}
-	sp = opts.Obs.StartSpan("pipeline." + strategy + ".postprocess")
-	defer sp.End()
-
-	if callGraph != nil {
-		order := core.PettisHansenOrder(img.Comp.CUs, callGraph)
-		profile := make([]string, 0, len(order))
-		for _, cu := range order {
-			profile = append(profile, cu.Signature())
-		}
-		return run, profile, nil, nil
-	}
-
-	switch instr {
-	case graal.InstrCU:
-		a := postproc.NewCUOrderAnalysis()
-		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
-			return run, nil, nil, err
-		}
-		return run, a.Profile(), nil, nil
-	case graal.InstrMethod:
-		a := postproc.NewMethodOrderAnalysis()
-		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
-			return run, nil, nil, err
-		}
-		return run, a.Profile(), nil, nil
-	default:
-		a := postproc.NewHeapOrderAnalysis()
-		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
-			return run, nil, nil, err
-		}
-		prof := a.Profile(func(h uint64) (uint64, bool) {
-			return img.StrategyIDOfHandle(strategy, h)
-		})
-		return run, nil, prof, nil
-	}
+	return run, img, traces, nil
 }

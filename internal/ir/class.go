@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"sync/atomic"
 )
@@ -66,6 +67,30 @@ type Method struct {
 // builds and are the keys of the code-ordering profiles (Sec. 4).
 func (m *Method) Signature() string {
 	return m.Class.Name + "." + m.Name + "(" + strconv.Itoa(m.NParams) + ")"
+}
+
+// SortBySignature sorts methods by signature in place, rendering each
+// signature once instead of twice per comparison. Signatures are unique,
+// so the order is fully determined.
+func SortBySignature(ms []*Method) {
+	keys := make([]string, len(ms))
+	for i, m := range ms {
+		keys[i] = m.Signature()
+	}
+	sort.Sort(bySignature{ms, keys})
+}
+
+// bySignature sorts methods by their precomputed signatures.
+type bySignature struct {
+	ms   []*Method
+	keys []string
+}
+
+func (s bySignature) Len() int           { return len(s.ms) }
+func (s bySignature) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s bySignature) Swap(i, j int) {
+	s.ms[i], s.ms[j] = s.ms[j], s.ms[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // CodeSize returns the estimated compiled size of the method body in bytes,

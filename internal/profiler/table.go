@@ -1,10 +1,6 @@
 package profiler
 
-import (
-	"sort"
-
-	"nimage/internal/ir"
-)
+import "nimage/internal/ir"
 
 // MethodTable assigns stable indices to compiled methods. Indices are
 // alphabetical by signature, so the table is identical for any two builds
@@ -21,7 +17,7 @@ type MethodTable struct {
 func NewMethodTable(methods []*ir.Method) *MethodTable {
 	sorted := make([]*ir.Method, len(methods))
 	copy(sorted, methods)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Signature() < sorted[j].Signature() })
+	ir.SortBySignature(sorted)
 	t := &MethodTable{Methods: sorted, Index: make(map[*ir.Method]int, len(sorted))}
 	for i, m := range sorted {
 		t.Index[m] = i

@@ -47,6 +47,26 @@ func TestAllWorkloadsBuildAndRun(t *testing.T) {
 	}
 }
 
+// TestMethodSignaturesUnique guards the code layout's sort keys: CUs,
+// method tables and code profiles are ordered and matched by signature,
+// which determines one order only if no two methods share a signature.
+func TestMethodSignaturesUnique(t *testing.T) {
+	ws := append(All(), Serve()...)
+	for _, seed := range []uint64{1, 2, 42, 1009, 9999} {
+		ws = append(ws, Generated(seed))
+	}
+	for _, w := range ws {
+		seen := make(map[string]bool)
+		for _, m := range w.Build().Methods() {
+			sig := m.Signature()
+			if seen[sig] {
+				t.Errorf("%s: duplicate method signature %s", w.Name, sig)
+			}
+			seen[sig] = true
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	w, err := ByName("Bounce")
 	if err != nil || w.Name != "Bounce" {
