@@ -442,6 +442,40 @@ func BenchmarkColdRun(b *testing.B) {
 	}
 }
 
+// BenchmarkServeRequest measures one dispatch request on a warm serve-api
+// process, issued the way the serve protocol does: a RunMethod of the
+// dispatch entry that stops at the request's respond intrinsic.
+func BenchmarkServeRequest(b *testing.B) {
+	w, err := workloads.ByName("serve-api")
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, err := image.Build(w.Build(), image.Options{
+		Kind: image.KindRegular, Compiler: graal.DefaultConfig(), BuildSeed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dispatch := img.Program.Class(w.Serve.DispatchClass).LookupMethod(w.Serve.DispatchMethod)
+	proc, err := img.NewProcess(osim.NewOS(osim.SSD()), nimage.Hooks{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer proc.Close()
+	proc.Machine.StopOnRespond = true
+	if err := proc.Run(w.Args...); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		route := heap.IntVal(int64(i % w.Serve.Routes))
+		if _, err := proc.Machine.RunMethod(dispatch, route); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPathNumbering measures Ball–Larus numbering over all compiled
 // methods of Bounce.
 func BenchmarkPathNumbering(b *testing.B) {

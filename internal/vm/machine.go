@@ -116,7 +116,14 @@ type Machine struct {
 	journal     *journal
 	lastResult  heap.Value
 
-	// mix accumulates per-opcode execution counts between finish() flushes;
+	// free holds frames popped by returns or dropped with their threads,
+	// and idle the dropped threads; newFrame and newThread reuse them (and
+	// their register and frame slices), so a warm machine calls without
+	// allocating. A machine runs on one goroutine, so plain slices suffice.
+	free []*frame
+	idle []*thread
+
+	// mix accumulates per-opcode execution counts between flushObs calls;
 	// mixOn caches Obs != nil for the duration of one schedule() run.
 	mix   [ir.NumOps]int64
 	mixOn bool
@@ -159,15 +166,7 @@ func (m *Machine) ensureInit(t *thread, c *ir.Class) bool {
 	// Push subclass initializers first so superclass initializers end up
 	// on top of the stack and run first.
 	for _, cl := range pending {
-		nf := &frame{
-			m:      cl,
-			ctx:    cl,
-			regs:   make([]heap.Value, cl.NumRegs),
-			retReg: int(ir.NoReg),
-		}
-		for i := range nf.regs {
-			nf.regs[i] = heap.Null()
-		}
+		nf := m.newFrame(cl, cl, int(ir.NoReg))
 		t.frames = append(t.frames, nf)
 		if m.Hooks.OnMethodEnter != nil {
 			m.Hooks.OnMethodEnter(t.id, cl)
@@ -183,7 +182,7 @@ func (m *Machine) ensureInit(t *thread, c *ir.Class) bool {
 // superclasses) unless it already ran; used by the image builder for the
 // explicit build-time initialization sequence.
 func (m *Machine) RunClassInit(c *ir.Class) error {
-	t := &thread{id: -1}
+	t := m.newThread(-1)
 	if !m.ensureInit(t, c) {
 		return nil
 	}
@@ -204,6 +203,42 @@ type frame struct {
 	block  int
 	ip     int
 	retReg int // destination register in the caller (NoReg if discarded)
+}
+
+// newFrame returns a frame for method with every register null, reusing a
+// freed frame and its register slice when one is available.
+func (m *Machine) newFrame(method, ctx *ir.Method, retReg int) *frame {
+	var f *frame
+	if n := len(m.free); n > 0 {
+		f = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		f = &frame{}
+	}
+	regs := f.regs
+	if cap(regs) >= method.NumRegs {
+		regs = regs[:method.NumRegs]
+	} else {
+		regs = make([]heap.Value, method.NumRegs)
+	}
+	for i := range regs {
+		regs[i] = heap.Null()
+	}
+	*f = frame{m: method, ctx: ctx, regs: regs, retReg: retReg}
+	return f
+}
+
+// newThread returns an empty thread with the given id, reusing a dropped
+// thread and its frame slice when one is available.
+func (m *Machine) newThread(id int) *thread {
+	n := len(m.idle)
+	if n == 0 {
+		return &thread{id: id}
+	}
+	t := m.idle[n-1]
+	m.idle = m.idle[:n-1]
+	*t = thread{id: id, frames: t.frames[:0]}
+	return t
 }
 
 type thread struct {
@@ -256,17 +291,10 @@ func (m *Machine) RunMethod(target *ir.Method, args ...heap.Value) (heap.Value, 
 }
 
 func (m *Machine) spawnThread(entry *ir.Method, args []heap.Value) *thread {
-	f := &frame{
-		m:      entry,
-		ctx:    entry,
-		regs:   make([]heap.Value, entry.NumRegs),
-		retReg: int(ir.NoReg),
-	}
-	for i := range f.regs {
-		f.regs[i] = heap.Null()
-	}
+	f := m.newFrame(entry, entry, int(ir.NoReg))
 	copy(f.regs, args)
-	t := &thread{id: m.nextTID, frames: []*frame{f}}
+	t := m.newThread(m.nextTID)
+	t.frames = append(t.frames, f)
 	m.nextTID++
 	m.threads = append(m.threads, t)
 	if m.Hooks.OnEnterCU != nil {
@@ -281,9 +309,22 @@ func (m *Machine) spawnThread(entry *ir.Method, args []heap.Value) *thread {
 	return t
 }
 
-// schedule runs all threads round-robin until completion or stop.
+// schedule runs all threads round-robin until completion or stop. Every
+// exit, a trap included, drops the machine's threads, so a later run never
+// resumes a thread of an earlier one.
 func (m *Machine) schedule() error {
 	m.mixOn = m.Obs.Enabled()
+	err := m.runThreads()
+	m.dropThreads()
+	if err == nil && m.mixOn {
+		m.flushObs()
+	}
+	return err
+}
+
+// runThreads runs the scheduling rounds until every thread finished or a
+// respond stopped the machine.
+func (m *Machine) runThreads() error {
 	for {
 		live := 0
 		progressed := false
@@ -297,12 +338,10 @@ func (m *Machine) schedule() error {
 			}
 			progressed = true
 			if m.stop {
-				m.finish()
 				return nil
 			}
 		}
 		if live == 0 {
-			m.finish()
 			return nil
 		}
 		if !progressed {
@@ -314,14 +353,17 @@ func (m *Machine) schedule() error {
 	}
 }
 
-func (m *Machine) finish() {
-	// Drop finished thread bookkeeping; the machine can be reused for a
-	// further RunMethod (build-time clinit sequences do this).
+// dropThreads discards every thread, returning it and the frames a stop or
+// trap abandoned on it to the free lists. The machine can then be reused
+// for a further RunMethod (build-time clinit sequences and served
+// requests do this).
+func (m *Machine) dropThreads() {
+	for _, t := range m.threads {
+		m.free = append(m.free, t.frames...)
+		m.idle = append(m.idle, t)
+	}
 	m.threads = m.threads[:0]
 	m.stop = false
-	if m.mixOn {
-		m.flushObs()
-	}
 }
 
 // flushObs publishes the instruction mix gathered since the last flush and
